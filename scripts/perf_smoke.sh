@@ -1,27 +1,34 @@
 #!/bin/sh
 # Perf smoke: the deterministic executor's relative overhead, gated.
 #
-#   perf_smoke.sh SWEEP_BIN BASELINE_JSON [TOLERANCE]
+#   perf_smoke.sh SWEEP_BIN [TOLERANCE]
 #
 # Runs the sweep at a tiny scale (0.05) on one thread and compares the
-# bfs det-vs-serial min-time ratio against the ratio implied by the
-# committed baseline (scripts/bench_baseline.json, recorded at scale
-# 0.2). A ratio is self-normalizing — a uniformly faster or slower
-# machine cancels out of det/serial — so unlike the timing half of
-# bench_gate this check needs no machine-speed calibration, only a
-# generous tolerance (default 2.5x) for the smaller scale's higher
-# per-task overhead share and for timing noise at sub-second runtimes.
+# bfs det-vs-serial min-time ratio against a pinned reference ratio. A
+# ratio is self-normalizing — a uniformly faster or slower machine
+# cancels out of det/serial — so unlike the timing half of bench_gate
+# this check needs no machine-speed calibration, only a generous
+# tolerance (default 2.5x) for the smaller scale's higher per-task
+# overhead share and for timing noise at sub-second runtimes.
+#
+# The reference, 2.36x, is the bfs det/serial t=1 min_s ratio of the
+# single-process scripts/bench_baseline.json recorded on one core at
+# scale 0.2 (det 12.874 ms / serial 5.454 ms). It is pinned here rather
+# than read from the baseline: the baseline re-recorded on a 4-core VM
+# (median over 7 processes) puts the ratio at 3.20x, which would widen
+# the allowed bound from 5.90x to 8.0x without any change to the
+# program.
 #
 # The point of the gate: the batched mark-acquisition protocol bought a
 # concrete det-vs-serial improvement; a change that quietly gives it
-# back (ratio blowing past baseline * tolerance) fails this test even
+# back (ratio blowing past REFERENCE * tolerance) fails this test even
 # when digests and outputs stay correct.
 
 set -u
 
 SWEEP=$1
-BASELINE=$2
-TOL=${3:-2.5}
+TOL=${2:-2.5}
+REFERENCE=2.36
 
 OUT="${TMPDIR:-/tmp}/perf_smoke.$$.json"
 trap 'rm -f "$OUT"' EXIT
@@ -29,11 +36,11 @@ trap 'rm -f "$OUT"' EXIT
 run_once() {
     REPRO_SCALE=0.05 REPRO_REPS=3 REPRO_THREADS=1 \
         "$SWEEP" --json "$OUT" > /dev/null || return 1
-    python3 - "$BASELINE" "$OUT" "$TOL" <<'EOF'
+    python3 - "$OUT" "$REFERENCE" "$TOL" <<'EOF'
 import json
 import sys
 
-baseline_path, fresh_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
+fresh_path, base, tol = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
 
 
 def ratio(path):
@@ -50,12 +57,11 @@ def ratio(path):
     return times["det"] / times["serial"]
 
 
-base = ratio(baseline_path)
 fresh = ratio(fresh_path)
 allowed = base * tol
 verdict = "PASS" if fresh <= allowed else "FAIL"
 print(f"perf_smoke: bfs det/serial t=1 ratio {fresh:.2f}x "
-      f"(baseline {base:.2f}x, allowed {allowed:.2f}x): {verdict}")
+      f"(reference {base:.2f}x, allowed {allowed:.2f}x): {verdict}")
 sys.exit(0 if fresh <= allowed else 1)
 EOF
 }

@@ -149,6 +149,22 @@ TEST(NdApps, RefineWorksUnderBothSchedulers)
     }
 }
 
+// RawScheduler runs sync() bodies concurrently, so ndRefine's shared
+// work queue must bring its own lock. Unguarded, concurrent push_back
+// corrupted the heap (or lost a task and hung) at a rate that swings
+// with host load, from none of 400 runs to most runs; repeating the
+// run raises the odds that a regression shows.
+TEST(NdApps, RefineUnderRawSchedulerRepeatedly)
+{
+    for (unsigned run = 0; run < 40; ++run) {
+        apps::dmr::Problem prob;
+        apps::dmr::makeProblem(120, 93 + run, prob);
+        RawScheduler raw(4);
+        coredet::ndRefine(raw, prob, 4);
+        ASSERT_TRUE(apps::dmr::validate(prob)) << "run " << run;
+    }
+}
+
 TEST(NdApps, TriangulateWorksUnderBothSchedulers)
 {
     {
